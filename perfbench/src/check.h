@@ -62,8 +62,9 @@ struct RunFacts {
 };
 
 /// Least tail evidence per window: samples beyond the window's tail
-/// percentile. The reported tail, a median over five windows, then rests
-/// on at least 25; a run slowed 3x by host contention still passes.
+/// percentile, so the reported tail, a median over the windows, rests on
+/// at least this many in each; a run slowed 3x by host contention still
+/// passes.
 inline constexpr uint64_t kMinTailSamples = 5;
 
 /// Why the run must not be reported; empty when it may be.

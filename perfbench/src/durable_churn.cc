@@ -8,8 +8,16 @@
 // caller runs closed-loop MatchBatch on the same shards. After the timed
 // phase the engine is closed and reopened, and the recovered subscription
 // set must equal the acknowledged live set.
+//
+// The end-to-end figures are those of MatchBatch under the writes. Ack
+// latency is mostly the fsync of whatever disk holds the run's directory
+// (commit p50 ~0.2 ms of a ~0.3 ms ack on a 4-vCPU VM's virtual disk); over
+// ten runs on a shared host the middle half of its p50 was wider than the
+// p50 itself, so it is reported with the durability layer
+// (durability.ack_ms.*) instead.
 #include <sys/prctl.h>
 
+#include <algorithm>
 #include <chrono>
 #include <cstdio>
 #include <map>
@@ -60,6 +68,12 @@ constexpr uint64_t kCheckpointEvery = 700;
 constexpr uint64_t kMinCheckpointCycles = 3;
 constexpr size_t kEventBatches = 16;
 constexpr size_t kWarmupBatches = 32;
+/// Tail quantile of the batch latency. The p99 rests on moments the
+/// hypervisor deschedules one of the busy vCPUs; on the development host
+/// whole runs fell into such periods and moved p99 2-3x in 2 of 10 runs.
+/// p90 still lies in the contended tail (shard-lock waits behind writers'
+/// applies and checkpoint captures) and moved by a fraction of that.
+constexpr double kTailQuantile = 0.90;
 /// Batches matched after the reopen and checked against the oracle.
 constexpr size_t kCheckBatches = 4;
 constexpr size_t kScanSample = 32;
@@ -356,21 +370,26 @@ void RunDurableChurn(const RunOptions& opt, Report* r) {
   RunFacts facts;
   facts.requested_s = opt.seconds;
   facts.measured_s = elapsed_s;
-  facts.window_samples = ack_ms.MinWindowCount();
-  facts.tail_quantile = kEngineTailQuantile;
+  facts.window_samples =
+      std::min(ack_ms.MinWindowCount(), st.batch_ms.MinWindowCount());
+  facts.tail_quantile = kTailQuantile;
   facts.checkpoint_cycles = ck1.checkpoints_written - ck0.checkpoints_written;
   facts.min_checkpoint_cycles = kMinCheckpointCycles;
   for (const std::string& why : RefusalReasons(facts)) r->Refuse(why);
 
   r->Set("setup_s", setup_s.Median(), setup_s.count());
   r->Set("rss_mb", PeakRssMb());
-  r->Set("p50_ms", ack_ms.all().Median(), ack_ms.all().count());
-  r->Set("tail_ms", ack_ms.Tail(kEngineTailQuantile), ack_ms.all().count());
-  r->Set("ops_per_s", Ratio(st.events, st.elapsed_s), st.events);
-  r->Note("ack_p50_ms, events_per_s are p50_ms, ops_per_s on this "
-          "workload; tail_ms is the ack p90 (window median), ack_p99_ms (not "
-          "gated) is " + std::to_string(ack_ms.Tail(0.99)) +
-          " ms; recover_s is durability.recover_s");
+  r->Set("p50_ms", st.batch_ms.all().Median(), st.batch_ms.all().count());
+  r->Set("tail_ms", st.batch_ms.Tail(kTailQuantile),
+         st.batch_ms.all().count());
+  r->Set("ops_per_s", kBatch * st.batch_ms.Rate(), st.events);
+  r->Note("p50_ms, tail_ms, ops_per_s are the batch p50, batch p90 and "
+          "events/s (window medians) of MatchBatch under writes on this "
+          "workload; ack_p50_ms, ack_p99_ms are durability.ack_ms.p50/p99; "
+          "recover_s is durability.recover_s");
+  r->Set("durability.ack_ms.p50", ack_ms.all().Median(), ack_ms.all().count());
+  r->Set("durability.ack_ms.p90", ack_ms.Tail(0.90), ack_ms.all().count());
+  r->Set("durability.ack_ms.p99", ack_ms.Tail(0.99), ack_ms.all().count());
 
   r->Set("sdi.subscribe_us.p50", subscribe_us.Median(), subscribe_us.count());
   r->Set("sdi.subscribe_us.p99", subscribe_us.Quantile(0.99),

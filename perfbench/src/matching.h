@@ -17,14 +17,6 @@ namespace perfbench {
 
 inline constexpr size_t kBatch = 256;
 
-/// Tail quantile of the two engine workloads (batch latency, ack latency).
-/// Their p99 rests on moments the hypervisor deschedules one of the busy
-/// vCPUs; on the development host whole runs fell into such periods and
-/// moved p99 2-3x in 2 of 10 runs. p90 still lies in the contended tail
-/// (shard-lock waits behind match chunks, checkpoint fsyncs) and moved by
-/// a fraction of that; p99 is printed beside it, not gated.
-inline constexpr double kEngineTailQuantile = 0.90;
-
 /// Sink that times the first and last emit of a batch and, for checked
 /// batches, keeps every event's matches. Emits arrive concurrently from the
 /// pool workers for distinct event indices.

@@ -331,9 +331,9 @@ void RunPaperIndex(const RunOptions& opt, Report* r) {
   r->Set("p50_ms", st.latency_ms.all().Median(), st.latency_ms.all().count());
   r->Set("tail_ms", st.latency_ms.Tail(kTailQuantile),
          st.latency_ms.all().count());
-  r->Set("ops_per_s", Ratio(st.queries, st.elapsed_s), st.queries);
+  r->Set("ops_per_s", st.latency_ms.Rate(), st.queries);
   r->Note("query_p50_ms, query_p99_ms, queries_per_s are p50_ms, tail_ms "
-          "(p99.5), ops_per_s on this workload");
+          "(p99.5), ops_per_s (window median) on this workload");
   ReportCore(s, st, r);
 
   if (opt.trace) {

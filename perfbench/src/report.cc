@@ -45,6 +45,12 @@ double WindowedSamples::Tail(double q) const {
   return tails.Median();
 }
 
+double WindowedSamples::Rate() const {
+  Samples rates;
+  for (const Samples& w : windows_) rates.Add(w.count() / (window_ns_ / 1e9));
+  return rates.Median();
+}
+
 uint64_t WindowedSamples::MinWindowCount() const {
   uint64_t n = UINT64_MAX;
   for (const Samples& w : windows_) n = std::min<uint64_t>(n, w.count());
@@ -107,6 +113,9 @@ const std::vector<MetricDef>& PerLayerMetrics() {
       {"adapt.dimension_switches", "count"},
       {"adapt.migration_us.p50", "us"},
       {"adapt.overflow_share", "ratio"},
+      {"durability.ack_ms.p50", "ms"},
+      {"durability.ack_ms.p90", "ms"},
+      {"durability.ack_ms.p99", "ms"},
       {"durability.commit_us.p50", "us"},
       {"durability.commit_us.p99", "us"},
       {"durability.records_per_sync", "count"},

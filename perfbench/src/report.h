@@ -42,13 +42,14 @@ class Samples {
 uint64_t SamplesBeyond(uint64_t n, double q);
 
 /// Latency samples of a timed phase, also split into kWindows equal time
-/// windows. The reported tail is the median over the windows of each
-/// window's quantile: a host stall shorter than two windows moves one or
-/// two windows' tails but not the reported one, while a cost every window
-/// pays (reorganization, migration, checkpoints) moves them all.
+/// windows. The reported tail and rate are medians over the windows of each
+/// window's quantile and sample rate: a host stall shorter than half the
+/// run moves some windows' figures but not the reported ones, while a cost
+/// every window pays (reorganization, migration, checkpoints) moves them
+/// all.
 class WindowedSamples {
  public:
-  static constexpr size_t kWindows = 5;
+  static constexpr size_t kWindows = 10;
 
   WindowedSamples() = default;
   WindowedSamples(uint64_t begin_ns, double seconds)
@@ -63,6 +64,8 @@ class WindowedSamples {
   const Samples& all() const { return all_; }
   /// Median over the windows of each window's q-quantile.
   double Tail(double q) const;
+  /// Median over the windows of each window's samples per second.
+  double Rate() const;
   /// Fewest samples in one window: what the tail of each window rests on.
   uint64_t MinWindowCount() const;
 

@@ -1,5 +1,5 @@
 // skewed_match: the routed read path under skew. A SubscriptionEngine with
-// 8 range-routed shards, auto-rebalance and adaptive routing on, and 3
+// 8 range-routed shards, auto-rebalance and adaptive routing on, and 2
 // match threads, holding 100k 6-d subscriptions whose leading dimension is
 // Zipf-skewed. One caller sends closed-loop 256-event MatchBatch calls of
 // mixed point and range events whose Zipf hot spot drifts every phase, so
@@ -35,9 +35,11 @@ using accl::ZipfDistribution;
 constexpr size_t kSubs = 100000;
 constexpr Dim kNd = 6;
 constexpr uint32_t kShards = 8;
-/// Caller + 2 pool workers: 3 busy threads on a 4-core host, leaving one
-/// core so the run measures the engine rather than the scheduler.
-constexpr uint32_t kMatchThreads = 3;
+/// Caller + 1 pool worker: 2 busy threads on a 4-core shared host. A batch
+/// waits for its slowest chunk, so every busy vCPU the hypervisor
+/// deschedules stalls it. On a 4-vCPU shared VM, runs of the same code
+/// matched 88-117k events/s with 3 match threads and 96-103k with 2.
+constexpr uint32_t kMatchThreads = 2;
 constexpr size_t kZipfBins = 64;
 constexpr double kZipfS = 1.1;
 /// Event pool: the hot spot moves by kDriftBins bins every phase.
@@ -45,6 +47,14 @@ constexpr size_t kPhases = 8;
 constexpr size_t kPhaseBatches = 8;
 constexpr size_t kDriftBins = 5;
 constexpr size_t kWarmupBatches = 2 * kPhases * kPhaseBatches;
+/// Tail quantile of the batch latency. One phase in kPhases sends its hot
+/// spot onto the subscriptions' hottest bins, so one batch in 8 is a heavy
+/// one (~4.3-5.5 ms against ~2-3 ms on the development host). p90 falls
+/// 2.5 points inside the heavy batches, next to the edge between the two
+/// populations, and jumps between them; p95 lies in the middle of the
+/// heavy batches and moves with their cost. p99 rests on moments the
+/// hypervisor deschedules a busy vCPU and is printed, not gated.
+constexpr double kTailQuantile = 0.95;
 /// Every kCheckEvery-th timed batch is kept for the brute-force check.
 constexpr size_t kCheckEvery = 97;
 constexpr size_t kMaxChecks = 8;
@@ -165,18 +175,20 @@ void RunSkewedMatch(const RunOptions& opt, Report* r) {
   facts.requested_s = opt.seconds;
   facts.measured_s = st.elapsed_s;
   facts.window_samples = st.batch_ms.MinWindowCount();
-  facts.tail_quantile = kEngineTailQuantile;
+  facts.tail_quantile = kTailQuantile;
   for (const std::string& why : RefusalReasons(facts)) r->Refuse(why);
 
   r->Set("setup_s", setup_s.Median(), setup_s.count());
   r->Set("rss_mb", PeakRssMb());
   r->Set("p50_ms", st.batch_ms.all().Median(), st.batch_ms.all().count());
-  r->Set("tail_ms", st.batch_ms.Tail(kEngineTailQuantile),
+  r->Set("tail_ms", st.batch_ms.Tail(kTailQuantile),
          st.batch_ms.all().count());
-  r->Set("ops_per_s", Ratio(st.events, st.elapsed_s), st.events);
+  r->Set("ops_per_s", kBatch * st.batch_ms.Rate(), st.events);
   r->Note("batch_p50_ms, events_per_s are p50_ms, ops_per_s on this "
-          "workload; tail_ms is the batch p90 (window median), batch_p99_ms "
-          "(not gated) is " + std::to_string(st.batch_ms.Tail(0.99)) + " ms");
+          "workload; tail_ms is the batch p95 and ops_per_s the event rate "
+          "(window medians), batch_p99_ms (not gated) is " +
+          std::to_string(st.batch_ms.Tail(0.99)) + " ms, events/s over the "
+          "whole run " + std::to_string(Ratio(st.events, st.elapsed_s)));
   ReportEngineLayers(engine, before, after, st, r);
 
   if (opt.trace) {

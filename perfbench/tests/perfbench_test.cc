@@ -233,7 +233,7 @@ TEST(Samples, NearestRankQuantiles) {
 }
 
 TEST(WindowedSamples, TailIgnoresAStallConfinedToOneWindow) {
-  WindowedSamples s(0, 5.0);  // five 1 s windows
+  WindowedSamples s(0, 1.0 * WindowedSamples::kWindows);  // 1 s windows
   for (uint64_t w = 0; w < WindowedSamples::kWindows; ++w) {
     for (int i = 0; i < 1000; ++i) {
       // Window 2 holds a stall: a fifth of its samples take 100x longer.
@@ -242,9 +242,19 @@ TEST(WindowedSamples, TailIgnoresAStallConfinedToOneWindow) {
     }
   }
   EXPECT_EQ(s.MinWindowCount(), 1000u);
-  EXPECT_EQ(s.all().count(), 5000u);
+  EXPECT_EQ(s.all().count(), 1000u * WindowedSamples::kWindows);
   EXPECT_EQ(s.all().Quantile(0.99), 100.0);
   EXPECT_NEAR(s.Tail(0.99), 1.989, 1e-9);  // rank 990 of a clean window
+}
+
+TEST(WindowedSamples, RateIgnoresAStallConfinedToOneWindow) {
+  WindowedSamples s(0, 1.0 * WindowedSamples::kWindows);  // 1 s windows
+  for (uint64_t w = 0; w < WindowedSamples::kWindows; ++w) {
+    // Window 3 is stalled for most of its second and completes 50 samples.
+    const int n = w == 3 ? 50 : 1000;
+    for (int i = 0; i < n; ++i) s.Add(w * 1'000'000'000 + i * 1'000'000, 1.0);
+  }
+  EXPECT_DOUBLE_EQ(s.Rate(), 1000.0);
 }
 
 TEST(SelfTimes, SubtractTheUnionOfChildIntervals) {
